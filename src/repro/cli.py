@@ -371,6 +371,10 @@ def _cmd_kv(args: argparse.Namespace) -> int:
                 "--rebalance-every is not supported over --target "
                 "network (the balancer runs inside the server)"
             )
+        if args.op_timeout <= 0:
+            raise ReproError(
+                f"--op-timeout must be > 0 seconds, got {args.op_timeout}"
+            )
         host, port = _parse_addr(args.addr)
         # Chaos schedules ARE supported: kill/recover travel as RPC
         # admin ops to the connection's server-side target. Node
@@ -600,7 +604,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = RPCServer(
         factory,
         max_frame=args.max_frame,
-        executor_workers=args.executor_threads,
         write_buffer_high=args.write_buffer,
     )
 
@@ -1029,11 +1032,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-connection response buffer high-water mark in bytes "
         "(the slow-client bound: past it the server stops reading that "
         "connection until the client drains)",
-    )
-    serve.add_argument(
-        "--executor-threads", type=int, default=4,
-        help="storage-op thread pool size (per-connection ops stay "
-        "strictly ordered regardless)",
     )
 
     compare = sub.add_parser(

@@ -2,9 +2,10 @@
 
 The serving path (``repro.distributed.rpc``) multiplexes every
 connection on one event loop; a single blocking call stalls all of
-them. Storage work is supposed to go through the loop's thread
-executor (``run_in_executor``) — these rules catch the direct calls
-that bypass it:
+them. Its storage ops run inline only because every target is
+in-memory pure Python; real blocking IO belongs in an executor
+(``run_in_executor``) — these rules catch the direct calls that
+bypass it:
 
 * **REPRO301** — blocking calls lexically inside ``async def``:
   ``time.sleep``, bare ``open``, ``os.fsync``/``fdatasync``/``sync``/
@@ -32,12 +33,12 @@ from repro.devtools.registry import (
 )
 
 _BLOCKING_CHAINS = {
-    "time.sleep": "time.sleep() blocks the event loop; use the "
-    "module's async sleep seam (await _sleep(...))",
+    "time.sleep": "time.sleep() blocks the event loop; use "
+    "await asyncio.sleep(...)",
     "os.fsync": "os.fsync() blocks the event loop; route durability "
-    "through the storage executor",
+    "through an executor",
     "os.fdatasync": "os.fdatasync() blocks the event loop; route "
-    "durability through the storage executor",
+    "durability through an executor",
     "os.sync": "os.sync() blocks the event loop",
     "os.replace": "os.replace() is sync file IO; run it in the "
     "executor",

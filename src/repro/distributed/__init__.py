@@ -39,9 +39,7 @@ from repro.distributed.migration import (
 from repro.distributed.node import Node
 from repro.distributed.ring import HashRing
 from repro.distributed.rpc import (
-    ClientPool,
     NetworkTarget,
-    RPCClient,
     RPCServer,
     ServerThread,
     network_flush_and_report,
@@ -57,10 +55,8 @@ __all__ = [
     "AutoscalerConfig",
     "ScaleEvent",
     "summarize_shards",
-    "ClientPool",
     "MigrationEvent",
     "NetworkTarget",
-    "RPCClient",
     "RPCServer",
     "ServerThread",
     "UniquenessAudit",

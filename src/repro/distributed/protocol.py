@@ -9,12 +9,12 @@ same layout in both directions::
 
 ``length`` counts everything after itself (``msg_id`` + ``code`` +
 ``body``), so a frame is at least :data:`HEADER_SIZE` bytes past the
-prefix and at most :data:`DEFAULT_MAX_FRAME` (configurable per server /
-client — a larger prefix is a protocol violation and closes the
+prefix and at most :data:`DEFAULT_MAX_FRAME` (configurable per
+server — a larger prefix is a protocol violation and closes the
 connection *before* any allocation). ``msg_id`` is chosen by the
-client and echoed verbatim in the response, which is what makes
-pipelining work: many requests may be in flight per connection and each
-response finds its caller by id.
+client and echoed verbatim in the response, so a reply finds its
+request by id: a client drops late replies to ops that already timed
+out, and a peer that pipelines frames can match each response.
 
 ``code`` is an **op code** in requests and a **status code** in
 responses. The data op codes mirror the
@@ -197,6 +197,47 @@ def decode_node(body: bytes) -> int:
 
 # -- stream framing ---------------------------------------------------------
 
+def frame_length(prefix: bytes, max_frame: int) -> int:
+    """Validate a length prefix and return the frame length it announces.
+
+    The one length check every reader shares: a prefix larger than
+    ``max_frame`` or shorter than the header raises
+    :class:`~repro.errors.RPCProtocolError` before the caller reads or
+    allocates the body.
+    """
+    length = int.from_bytes(prefix, "big")
+    if length > max_frame:
+        raise RPCProtocolError(
+            f"length prefix {length} exceeds max frame size {max_frame}"
+        )
+    if length < HEADER_SIZE:
+        raise RPCProtocolError(
+            f"length prefix {length} is shorter than the frame header"
+        )
+    return length
+
+
+def pop_frame(
+    buffer: bytearray, max_frame: int = DEFAULT_MAX_FRAME
+) -> Optional[bytes]:
+    """Take the first complete frame off the front of a receive buffer.
+
+    Returns the frame bytes (length prefix stripped) and removes them
+    from ``buffer``, or ``None`` while the buffer holds only part of a
+    frame. A bad length prefix raises as soon as its four bytes are
+    buffered, before any of the body is read.
+    """
+    if len(buffer) < _LENGTH_SIZE:
+        return None
+    prefix = bytes(buffer[:_LENGTH_SIZE])
+    end = _LENGTH_SIZE + frame_length(prefix, max_frame)
+    if len(buffer) < end:
+        return None
+    frame = bytes(buffer[_LENGTH_SIZE:end])
+    del buffer[:end]
+    return frame
+
+
 async def read_frame(
     reader: asyncio.StreamReader, max_frame: int = DEFAULT_MAX_FRAME
 ) -> Optional[bytes]:
@@ -216,15 +257,7 @@ async def read_frame(
         raise RPCProtocolError(
             "connection closed inside a length prefix"
         ) from exc
-    length = int.from_bytes(prefix, "big")
-    if length > max_frame:
-        raise RPCProtocolError(
-            f"length prefix {length} exceeds max frame size {max_frame}"
-        )
-    if length < HEADER_SIZE:
-        raise RPCProtocolError(
-            f"length prefix {length} is shorter than the frame header"
-        )
+    length = frame_length(prefix, max_frame)
     try:
         return await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:

@@ -1,9 +1,11 @@
-"""Asyncio RPC serving layer: ``uuidp serve`` and its client library.
+"""Network serving layer: ``uuidp serve`` and its blocking client.
 
 This module promotes the in-process serving stack behind a real
 network boundary so the ops/s and p99 numbers of the workload driver
 include what production numbers include: syscalls, serialization, and
-slow clients. Three layers:
+slow clients. A network op crosses two threads: the driver shard's own
+thread, which blocks on its socket, and the server's event loop, which
+runs the op inline.
 
 :class:`RPCServer`
     An asyncio TCP server speaking the framed protocol of
@@ -12,30 +14,28 @@ slow clients. Three layers:
     (a :class:`~repro.distributed.cluster.ClusterSimulator` fleet or a
     single MiniRocks) from its configured factory — the same
     ``TargetFactory`` contract the in-process driver uses, which is why
-    a network run reproduces an in-process run bit-for-bit. Storage ops
-    execute on a thread-pool executor so the event loop never blocks on
-    storage; per connection, frames are processed strictly in order
-    (the determinism contract needs ordered execution; pipelining still
-    overlaps client-side RTT). Responses are written under a bounded
-    transport write-buffer high-water mark and ``drain()`` — a client
-    that stops reading stalls *its own* connection via TCP backpressure
-    instead of growing server memory.
-
-:class:`RPCClient` / :class:`ClientPool`
-    The async client: request pipelining over one connection with a
-    per-connection in-flight cap (a semaphore — backpressure, not an
-    unbounded queue), per-op timeouts that surface as
-    :class:`~repro.errors.RPCTimeoutError` (a
-    ``ClusterUnavailableError``), and bounded connect retries on a
-    **jitterless, deterministic** doubling backoff so test runs are
-    reproducible. The pool round-robins calls over N connections.
+    a network run reproduces an in-process run bit-for-bit. Each
+    connection's frames run inline on the event loop, strictly in
+    order (the determinism contract needs ordered execution). Every
+    target is in-memory pure Python, so a worker pool would only queue
+    the same work behind the GIL. Responses are written under a
+    bounded transport write-buffer high-water mark and ``drain()`` — a
+    client that stops reading stalls *its own* connection via TCP
+    backpressure instead of growing server memory.
 
 :class:`NetworkTarget` / :func:`network_target_factory`
-    The synchronous facade :class:`~repro.workloads.driver.WorkloadDriver`
-    shards drive: each target owns a background event loop thread and
-    one attached connection, and exposes ``execute(op, key, value)``
-    (whole logical ops — ``rmw`` is one RPC) plus ``kill``/``recover``
-    so chaos schedules fire through the RPC boundary.
+    The synchronous client :class:`~repro.workloads.driver.WorkloadDriver`
+    shards drive: one blocking socket per shard, one request in flight.
+    ``execute(op, key, value)`` ships whole logical ops (``rmw`` is one
+    RPC), and ``kill``/``recover`` let chaos schedules fire through the
+    RPC boundary. A per-op timeout surfaces as
+    :class:`~repro.errors.RPCTimeoutError` (a
+    ``ClusterUnavailableError``), and connects retry on a **jitterless,
+    deterministic** doubling backoff so test runs are reproducible.
+
+:class:`ServerThread`
+    An :class:`RPCServer` on a private loop thread, for synchronous
+    harnesses (tests, benchmarks, the example script).
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ import asyncio
 import contextlib
 import itertools
 import json
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import time
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.distributed.protocol import (
     CODE_TO_OP,
@@ -68,6 +69,7 @@ from repro.distributed.protocol import (
     encode_frame,
     encode_kv,
     encode_node,
+    pop_frame,
     read_frame,
 )
 from repro.errors import (
@@ -83,8 +85,6 @@ from repro.errors import (
 #: Default per-op client timeout (seconds). Generous: loopback ops are
 #: microseconds; this exists so a hung server fails red, not black.
 DEFAULT_OP_TIMEOUT = 30.0
-#: Default per-connection pipelining cap (requests in flight).
-DEFAULT_MAX_IN_FLIGHT = 32
 #: Server-side transport write-buffer high-water mark (bytes): the
 #: slow-client bound. ``drain()`` parks the connection handler until
 #: the peer reads the buffer back under this.
@@ -94,9 +94,11 @@ DEFAULT_WRITE_BUFFER_HIGH = 64 * 1024
 #: a test harness).
 DEFAULT_CONNECT_RETRIES = 5
 DEFAULT_CONNECT_BACKOFF = 0.05
+#: Bytes asked of one ``recv`` into a client's receive buffer.
+_RECV_BYTES = 64 * 1024
 
 #: Seam for tests to observe/neutralize backoff sleeps.
-_sleep = asyncio.sleep
+_sleep = time.sleep
 
 
 def _execute_op(target: Any, op: str, key: bytes, value: bytes) -> bytes:
@@ -136,10 +138,6 @@ class RPCServer:
     max_frame:
         Frame-size cap; a larger length prefix is a protocol error and
         closes the offending connection before any allocation.
-    executor_workers:
-        Thread-pool size for storage ops. Connections execute their own
-        frames strictly in order regardless of this; the pool lets
-        *different* shards' ops overlap.
     write_buffer_high:
         Transport write-buffer high-water mark — the per-connection
         bound on buffered response bytes for a slow client.
@@ -150,15 +148,11 @@ class RPCServer:
         target_factory: Callable[[int, int], Any],
         *,
         max_frame: int = DEFAULT_MAX_FRAME,
-        executor_workers: int = 4,
         write_buffer_high: int = DEFAULT_WRITE_BUFFER_HIGH,
     ) -> None:
         self._target_factory = target_factory
         self.max_frame = max_frame
         self.write_buffer_high = write_buffer_high
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="uuidp-rpc"
-        )
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: set = set()
         # Observability counters (read by tests and ops alike).
@@ -196,7 +190,6 @@ class RPCServer:
             await self._server.wait_closed()
         for writer in list(self._writers):
             writer.close()
-        self._executor.shutdown(wait=True)
 
     # -- connection handling ------------------------------------------------
 
@@ -214,7 +207,7 @@ class RPCServer:
                 if frame is None:
                     break  # clean close
                 msg_id, code, body = decode_frame(frame)
-                status, payload = await self._dispatch(conn, code, body)
+                status, payload = self._dispatch(conn, code, body)
                 writer.write(encode_frame(msg_id, status, payload))
                 buffered = transport.get_write_buffer_size()
                 if buffered > self.peak_write_buffer:
@@ -242,10 +235,10 @@ class RPCServer:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _dispatch(
+    def _dispatch(
         self, conn: _Connection, code: int, body: bytes
     ) -> Tuple[int, bytes]:
-        """Execute one request; returns ``(status, payload)``.
+        """Execute one request inline; returns ``(status, payload)``.
 
         Protocol violations come back as ``STATUS_PROTOCOL`` (the
         caller closes the connection after answering); execution
@@ -253,26 +246,21 @@ class RPCServer:
         client re-raises ``ClusterUnavailableError``) or
         ``STATUS_ERROR`` (everything else).
         """
-        loop = asyncio.get_running_loop()
         try:
             if code == OP_ATTACH:
                 if conn.target is not None:
                     return STATUS_PROTOCOL, b"connection already attached"
                 shard, shard_seed = decode_attach(body)
-                conn.target = await loop.run_in_executor(
-                    self._executor, self._target_factory, shard, shard_seed
-                )
+                conn.target = self._target_factory(shard, shard_seed)
                 conn.shard = shard
                 return STATUS_OK, b""
             if conn.target is None:
                 return STATUS_PROTOCOL, b"op before ATTACH"
             if code in CODE_TO_OP:
-                op = CODE_TO_OP[code]
                 key, value = decode_kv(body)
-                outcome = await loop.run_in_executor(
-                    self._executor, _execute_op, conn.target, op, key, value
+                return STATUS_OK, _execute_op(
+                    conn.target, CODE_TO_OP[code], key, value
                 )
-                return STATUS_OK, outcome
             if code in (OP_KILL, OP_RECOVER):
                 node = decode_node(body)
                 method = getattr(
@@ -283,12 +271,10 @@ class RPCServer:
                         STATUS_ERROR,
                         b"target is not fault-injectable (no kill/recover)",
                     )
-                await loop.run_in_executor(self._executor, method, node)
+                method(node)
                 return STATUS_OK, b""
             if code == OP_REPORT:
-                payload = await loop.run_in_executor(
-                    self._executor, _report_payload, conn.target
-                )
+                payload = _report_payload(conn.target)
                 return STATUS_OK, json.dumps(payload).encode()
             return STATUS_PROTOCOL, f"unknown op code {code:#04x}".encode()
         except RPCProtocolError as exc:
@@ -336,266 +322,56 @@ def _report_payload(target: Any) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Async client
+# Blocking client for the workload driver
 # ---------------------------------------------------------------------------
 
 
-class RPCClient:
-    """One pipelined connection to an :class:`RPCServer`.
+def _check_timeout(timeout: Optional[float]) -> None:
+    if timeout is not None and timeout <= 0:
+        raise ConfigurationError(
+            f"op timeout must be > 0 seconds (or None for no timeout), "
+            f"got {timeout}"
+        )
 
-    ``call`` may be invoked concurrently from many tasks; up to
-    ``max_in_flight`` requests ride the wire at once (the semaphore is
-    the client-side backpressure — callers park instead of queueing
-    unboundedly) and responses are matched to callers by ``msg_id``.
+
+def _connect(host: str, port: int, timeout: Optional[float]) -> socket.socket:
+    """Dial with bounded, jitterless deterministic backoff.
+
+    Attempt ``k`` (0-based) sleeps ``DEFAULT_CONNECT_BACKOFF * 2**k``
+    seconds after failing — the same schedule every run, so tests that
+    race a server start are reproducible.
     """
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        timeout: Optional[float] = DEFAULT_OP_TIMEOUT,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        max_frame: int = DEFAULT_MAX_FRAME,
-    ) -> None:
-        if max_in_flight < 1:
-            raise ConfigurationError("max_in_flight must be >= 1")
-        self._reader = reader
-        self._writer = writer
-        self.timeout = timeout
-        self.max_frame = max_frame
-        self._in_flight = asyncio.Semaphore(max_in_flight)
-        self._ids = itertools.count(1)
-        self._pending: Dict[int, asyncio.Future] = {}
-        self._dead: Optional[Exception] = None
-        self._read_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
-
-    @classmethod
-    async def connect(
-        cls,
-        host: str,
-        port: int,
-        *,
-        timeout: Optional[float] = DEFAULT_OP_TIMEOUT,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        retries: int = DEFAULT_CONNECT_RETRIES,
-        backoff: float = DEFAULT_CONNECT_BACKOFF,
-    ) -> "RPCClient":
-        """Connect with bounded, jitterless deterministic backoff.
-
-        Attempt ``k`` (0-based) sleeps ``backoff * 2**k`` seconds after
-        failing — the same schedule every run, so tests that race a
-        server start are reproducible.
-        """
-        last: Optional[Exception] = None
-        for attempt in range(retries + 1):
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
-            except OSError as exc:
-                last = exc
-                if attempt == retries:
-                    break
-                await _sleep(backoff * (2 ** attempt))
-                continue
-            return cls(
-                reader,
-                writer,
-                timeout=timeout,
-                max_in_flight=max_in_flight,
-                max_frame=max_frame,
-            )
-        raise RPCConnectionError(
-            f"cannot connect to {host}:{port} after {retries + 1} "
-            f"attempt(s): {last}"
-        )
-
-    # -- plumbing -----------------------------------------------------------
-
-    async def _read_loop(self) -> None:
+    last: Optional[OSError] = None
+    for attempt in range(DEFAULT_CONNECT_RETRIES + 1):
         try:
-            while True:
-                frame = await read_frame(self._reader, self.max_frame)
-                if frame is None:
-                    raise RPCConnectionError("server closed the connection")
-                msg_id, status, payload = decode_frame(frame)
-                future = self._pending.pop(msg_id, None)
-                if future is not None and not future.done():
-                    future.set_result((status, payload))
-                # else: a response to a timed-out (abandoned) call.
-        except Exception as exc:  # noqa: BLE001 — fan the failure out
-            self._dead = (
-                exc
-                if isinstance(exc, ClusterUnavailableError)
-                else RPCConnectionError(f"connection lost: {exc}")
-            )
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(self._dead)
-            self._pending.clear()
-
-    async def _call_raw(self, code: int, body: bytes) -> bytes:
-        async with self._in_flight:
-            if self._dead is not None:
-                raise self._dead
-            msg_id = next(self._ids)
-            future = asyncio.get_running_loop().create_future()
-            self._pending[msg_id] = future
-            self._writer.write(
-                encode_frame(msg_id, code, body, self.max_frame)
-            )
-            await self._writer.drain()
-            try:
-                if self.timeout is None:
-                    status, payload = await future
-                else:
-                    status, payload = await asyncio.wait_for(
-                        future, self.timeout
-                    )
-            except asyncio.TimeoutError:
-                self._pending.pop(msg_id, None)
-                raise RPCTimeoutError(
-                    f"op {code:#04x} timed out after {self.timeout}s "
-                    "(unacknowledged; treated as a failed op)"
-                ) from None
-        if status == STATUS_OK:
-            return payload
-        message = payload.decode("utf-8", "replace")
-        if status == STATUS_UNAVAILABLE:
-            raise ClusterUnavailableError(message)
-        if status == STATUS_PROTOCOL:
-            raise RPCProtocolError(f"server: {message}")
-        raise RPCError(message)
-
-    # -- API ----------------------------------------------------------------
-
-    async def attach(self, shard: int, shard_seed: int) -> None:
-        """Bind this connection to a driver shard and its derived seed."""
-        await self._call_raw(OP_ATTACH, encode_attach(shard, shard_seed))
-
-    async def call(self, op: str, key: bytes, value: bytes) -> bytes:
-        """Execute one logical op; returns its outcome digest bytes."""
-        code = OP_TO_CODE.get(op)
-        if code is None:
-            raise ConfigurationError(f"unknown workload op {op!r}")
-        return await self._call_raw(code, encode_kv(key, value))
-
-    async def kill(self, node: int) -> None:
-        """Inject a node outage on the remote cluster."""
-        await self._call_raw(OP_KILL, encode_node(node))
-
-    async def recover(self, node: int) -> None:
-        """Recover a previously killed remote node."""
-        await self._call_raw(OP_RECOVER, encode_node(node))
-
-    async def report(self) -> Dict[str, Any]:
-        """Flush the remote target and fetch its report dict."""
-        return json.loads(await self._call_raw(OP_REPORT, b""))
-
-    async def aclose(self) -> None:
-        """Cancel the reader task and close the connection."""
-        self._read_task.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._read_task
-        self._writer.close()
-        with contextlib.suppress(Exception):
-            await self._writer.wait_closed()
-
-
-class ClientPool:
-    """N pipelined connections, round-robin dispatch.
-
-    One connection's in-flight cap bounds *its* pipeline; the pool
-    multiplies that by ``size`` for callers that want more concurrency
-    than one socket's window (each connection attaches as its own
-    shard: ``shard_base + i``).
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        size: int = 2,
-        shard_base: int = 0,
-        shard_seed: int = 0,
-        **client_kwargs: Any,
-    ) -> None:
-        if size < 1:
-            raise ConfigurationError("pool size must be >= 1")
-        self.host = host
-        self.port = port
-        self.size = size
-        self.shard_base = shard_base
-        self.shard_seed = shard_seed
-        self._client_kwargs = client_kwargs
-        self._clients: List[RPCClient] = []
-        self._next = itertools.count()
-
-    async def start(self) -> "ClientPool":
-        """Connect and attach all ``size`` clients; returns ``self``."""
-        for index in range(self.size):
-            client = await RPCClient.connect(
-                self.host, self.port, **self._client_kwargs
-            )
-            await client.attach(self.shard_base + index, self.shard_seed)
-            self._clients.append(client)
-        return self
-
-    def client(self) -> RPCClient:
-        """The next pooled client, round-robin."""
-        if not self._clients:
-            raise RPCError("pool not started")
-        return self._clients[next(self._next) % len(self._clients)]
-
-    async def call(self, op: str, key: bytes, value: bytes) -> bytes:
-        """Execute one logical op on the next round-robin client."""
-        return await self.client().call(op, key, value)
-
-    async def aclose(self) -> None:
-        """Close every pooled client connection."""
-        for client in self._clients:
-            await client.aclose()
-        self._clients.clear()
-
-
-# ---------------------------------------------------------------------------
-# Synchronous facade for the workload driver
-# ---------------------------------------------------------------------------
-
-
-class _LoopThread:
-    """A daemon thread running a private event loop; sync callers
-    submit coroutines and block on their results."""
-
-    def __init__(self, name: str) -> None:
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self.loop.run_forever, name=name, daemon=True
-        )
-        self._thread.start()
-
-    def run(self, coro):
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
-
-    def stop(self) -> None:
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout=5)
-        if not self.loop.is_running():
-            self.loop.close()
+            sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as exc:
+            last = exc
+            if attempt < DEFAULT_CONNECT_RETRIES:
+                _sleep(DEFAULT_CONNECT_BACKOFF * (2 ** attempt))
+            continue
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+    raise RPCConnectionError(
+        f"cannot connect to {host}:{port} after "
+        f"{DEFAULT_CONNECT_RETRIES + 1} attempt(s): {last}"
+    )
 
 
 class NetworkTarget:
-    """One driver shard's view of a remote ``uuidp serve`` instance.
+    """One driver shard's connection to a remote ``uuidp serve`` instance.
 
-    Synchronous by design — :class:`~repro.workloads.driver.WorkloadDriver`
-    shards are plain threads — but built on the async
-    :class:`RPCClient` running in a private background event loop.
+    Synchronous, like the :class:`~repro.workloads.driver.WorkloadDriver`
+    shard that calls it: each call sends one frame on a blocking socket
+    and waits for its reply, so one request is in flight at a time.
     ``execute`` ships whole logical ops (``rmw`` included) and returns
     the server-computed outcome digest, so driver fingerprints over a
     network run match the in-process run byte for byte.
+
+    Replies are read into a receive buffer and matched by ``msg_id``:
+    a timeout part-way through a frame leaves the partial frame
+    buffered, and the late reply to an op that timed out is dropped
+    when it arrives, so the next op still gets its own outcome.
     """
 
     def __init__(
@@ -606,36 +382,92 @@ class NetworkTarget:
         shard_seed: int,
         *,
         timeout: Optional[float] = DEFAULT_OP_TIMEOUT,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        connect_retries: int = DEFAULT_CONNECT_RETRIES,
-        connect_backoff: float = DEFAULT_CONNECT_BACKOFF,
     ) -> None:
+        _check_timeout(timeout)
         self.shard = shard
-        self._loop = _LoopThread(f"uuidp-client-shard{shard}")
+        self.timeout = timeout
+        self._ids = itertools.count(1)
+        self._buffer = bytearray()
+        self._dead: Optional[RPCConnectionError] = None
+        self._sock = _connect(host, port, timeout)
         try:
-            self._client = self._loop.run(
-                RPCClient.connect(
-                    host,
-                    port,
-                    timeout=timeout,
-                    max_in_flight=max_in_flight,
-                    retries=connect_retries,
-                    backoff=connect_backoff,
-                )
-            )
-            self._loop.run(self._client.attach(shard, shard_seed))
-        except (ReproError, OSError, RuntimeError):
-            # Everything connect/attach can raise: library errors
-            # (RPCConnectionError and friends), socket failures, and a
-            # loop that refused to start. Stop the thread, then let the
-            # caller see the original failure.
-            self._loop.stop()
+            self._call(OP_ATTACH, encode_attach(shard, shard_seed))
+        except BaseException:
+            self.close()
             raise
+
+    def _call(self, code: int, body: bytes = b"") -> bytes:
+        """Send one request, block until its reply, return its payload."""
+        if self._dead is not None:
+            raise self._dead
+        msg_id = next(self._ids)
+        frame = encode_frame(msg_id, code, body)
+        deadline = (
+            None if self.timeout is None else time.monotonic() + self.timeout
+        )
+        try:
+            self._sock.settimeout(self.timeout)
+            self._sock.sendall(frame)
+            while True:
+                reply = self._recv_frame(deadline)
+                if reply is None:
+                    raise RPCTimeoutError(
+                        f"op {code:#04x} timed out after {self.timeout}s "
+                        "(unacknowledged; treated as a failed op)"
+                    )
+                reply_id, status, payload = decode_frame(reply)
+                if reply_id == msg_id:
+                    break
+                # Otherwise a late reply to an op that timed out.
+        except RPCProtocolError as exc:
+            # The reply stream broke the framing; it cannot be resynced.
+            self._lose(exc)
+            raise
+        except OSError as exc:
+            # Includes a send timeout: a half-sent frame desyncs the
+            # stream, so the connection is done either way.
+            raise self._lose(exc) from exc
+        if status == STATUS_OK:
+            return payload
+        message = payload.decode("utf-8", "replace")
+        if status == STATUS_UNAVAILABLE:
+            raise ClusterUnavailableError(message)
+        if status == STATUS_PROTOCOL:
+            raise RPCProtocolError(f"server: {message}")
+        raise RPCError(message)
+
+    def _recv_frame(self, deadline: Optional[float]) -> Optional[bytes]:
+        """The next reply frame, or ``None`` once ``deadline`` passes."""
+        while True:
+            frame = pop_frame(self._buffer)
+            if frame is not None:
+                return frame
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                self._sock.settimeout(remaining)
+            try:
+                chunk = self._sock.recv(_RECV_BYTES)
+            except socket.timeout:
+                return None
+            if not chunk:
+                raise ConnectionError("server closed the connection")
+            self._buffer += chunk
+
+    def _lose(self, exc: Exception) -> RPCConnectionError:
+        """Close a connection that cannot carry another op."""
+        self.close()
+        self._dead = RPCConnectionError(f"connection lost: {exc}")
+        return self._dead
 
     def execute(self, op: str, key: bytes, value: bytes) -> bytes:
         """One logical op over the wire; the driver's ``execute_op``
         dispatches here."""
-        return self._loop.run(self._client.call(op, key, value))
+        code = OP_TO_CODE.get(op)
+        if code is None:
+            raise ConfigurationError(f"unknown workload op {op!r}")
+        return self._call(code, encode_kv(key, value))
 
     # Chaos injection through the RPC boundary (driver tick() hooks).
     def kill(self, node: int, mode: str = "outage") -> None:
@@ -646,21 +478,21 @@ class NetworkTarget:
                 f"crash-restart chaos (mode={mode!r}) needs an "
                 "in-process durable cluster target"
             )
-        self._loop.run(self._client.kill(node))
+        self._call(OP_KILL, encode_node(node))
 
     def recover(self, node: int) -> None:
         """Recover a remote node killed through this target."""
-        self._loop.run(self._client.recover(node))
+        self._call(OP_RECOVER, encode_node(node))
 
     def collect_report(self) -> Dict[str, Any]:
         """Flush the remote target and fetch its report dict."""
-        return self._loop.run(self._client.report())
+        return json.loads(self._call(OP_REPORT))
 
     def close(self) -> None:
-        """Close the RPC client and stop the private event loop."""
-        with contextlib.suppress(Exception):
-            self._loop.run(self._client.aclose())
-        self._loop.stop()
+        """Close the connection; later calls raise ``RPCConnectionError``."""
+        self._sock.close()
+        if self._dead is None:
+            self._dead = RPCConnectionError("connection closed")
 
 
 def network_target_factory(
@@ -668,9 +500,6 @@ def network_target_factory(
     port: int,
     *,
     timeout: Optional[float] = DEFAULT_OP_TIMEOUT,
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-    connect_retries: int = DEFAULT_CONNECT_RETRIES,
-    connect_backoff: float = DEFAULT_CONNECT_BACKOFF,
 ):
     """A driver ``TargetFactory`` whose shards dial a remote server.
 
@@ -680,18 +509,10 @@ def network_target_factory(
     seeds, the outcomes are digested server-side by the same
     ``execute_op``, and the fingerprints match bit for bit.
     """
+    _check_timeout(timeout)
 
     def factory(shard: int, shard_seed: int) -> NetworkTarget:
-        return NetworkTarget(
-            host,
-            port,
-            shard,
-            shard_seed,
-            timeout=timeout,
-            max_in_flight=max_in_flight,
-            connect_retries=connect_retries,
-            connect_backoff=connect_backoff,
-        )
+        return NetworkTarget(host, port, shard, shard_seed, timeout=timeout)
 
     return factory
 
@@ -701,7 +522,7 @@ def network_flush_and_report(target: NetworkTarget) -> Dict[str, Any]:
     :func:`~repro.workloads.driver.flush_and_report`: flush + report
     the remote target, then close the shard's connection (the collect
     callback is the driver's end-of-shard hook, so this is where the
-    socket and its loop thread are torn down)."""
+    shard's socket is closed)."""
     try:
         return target.collect_report()
     finally:
@@ -734,30 +555,37 @@ class ServerThread:
         **server_kwargs: Any,
     ) -> None:
         self.server = RPCServer(target_factory, **server_kwargs)
-        self._loop = _LoopThread("uuidp-serve")
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name="uuidp-serve", daemon=True
+        )
+        self._thread.start()
         try:
-            self._loop.run(self.server.start(host, port))
+            self._run(self.server.start(host, port))
         except (ReproError, OSError, RuntimeError):
             # Bind/listen failures (port in use, bad host) and loop
             # startup errors; stop the thread and re-raise.
-            self._loop.stop()
+            self._stop_loop()
             raise
-        self.address: Tuple[str, int] = self._loop.run(
-            _async_address(self.server)
-        )
+        self.address: Tuple[str, int] = self.server.address
+
+    def _run(self, coro: Any) -> Any:
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+
+    def _stop_loop(self) -> None:
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=5)
+        if not self._loop.is_running():
+            self._loop.close()
 
     def stop(self) -> None:
         """Shut the in-process server down and stop its event loop."""
         with contextlib.suppress(Exception):
-            self._loop.run(self.server.aclose())
-        self._loop.stop()
+            self._run(self.server.aclose())
+        self._stop_loop()
 
     def __enter__(self) -> "ServerThread":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-async def _async_address(server: RPCServer) -> Tuple[str, int]:
-    return server.address

@@ -1,19 +1,19 @@
 """Live-socket tests for the ``uuidp serve`` RPC layer.
 
 Everything here stands up a real asyncio TCP server on loopback and
-drives it — through the async client, through the workload driver's
-``NetworkTarget`` facade, through raw sockets speaking deliberately
-broken frames, and through the CLI as a subprocess. Marked ``network``:
+drives it — through the workload driver's blocking ``NetworkTarget``
+client, through raw sockets speaking deliberately broken frames, and
+through the CLI as a subprocess. Marked ``network``:
 CI runs these in a dedicated lane under a hard pytest-timeout; the fast
 lane skips them.
 """
 
-import asyncio
 import random
 import re
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -30,10 +30,9 @@ from repro.distributed.protocol import (
     encode_frame,
     encode_kv,
 )
+from repro.distributed.protocol import DEFAULT_MAX_FRAME
 from repro.distributed.rpc import (
-    ClientPool,
     NetworkTarget,
-    RPCClient,
     ServerThread,
     network_flush_and_report,
     network_target_factory,
@@ -81,7 +80,7 @@ def store_options():
 
 class RawConnection:
     """A blocking socket speaking raw frames — for protocol-abuse tests
-    the cooperative :class:`RPCClient` refuses to produce."""
+    the cooperative :class:`NetworkTarget` refuses to produce."""
 
     def __init__(self, address, timeout=5.0, rcvbuf=None):
         self.sock = socket.socket()
@@ -165,48 +164,8 @@ class TestClientServerBasics:
             assert report["kind"] == "store"
             assert report["puts"] == 1
             assert report["flushes"] >= 1
-            # network_flush_and_report closed the connection and tore
-            # down the shard's private loop thread.
-            assert not target._loop._thread.is_alive()
-
-    def test_pool_round_robins_and_pipelines(self):
-        with ServerThread(store_target_factory(store_options)) as handle:
-            host, port = handle.address
-
-            async def scenario():
-                pool = await ClientPool(
-                    host, port, size=3, shard_base=10, shard_seed=5
-                ).start()
-                try:
-                    # Concurrent pipelined puts across the pool; each
-                    # connection's target is private, so every shard
-                    # sees its own keyspace.
-                    outcomes = await asyncio.gather(
-                        *[pool.call("put", b"k%d" % i, b"v") for i in range(30)]
-                    )
-                    assert outcomes == [b"\x02"] * 30
-                finally:
-                    await pool.aclose()
-
-            asyncio.run(scenario())
-            assert handle.server.connections_opened == 3
-            # 3 attaches + 30 puts; the counter increments just after
-            # each drain(), so give the server loop a beat to catch up.
-            deadline = time.time() + 5
-            while handle.server.frames_served < 33 and time.time() < deadline:
-                time.sleep(0.01)
-            assert handle.server.frames_served == 33
-
-    def test_pool_and_client_validation(self):
-        with pytest.raises(ConfigurationError):
-            ClientPool("h", 1, size=0)
-
-        async def bad_in_flight():
-            reader = asyncio.StreamReader()
-            RPCClient(reader, None, max_in_flight=0)
-
-        with pytest.raises(ConfigurationError):
-            asyncio.run(bad_in_flight())
+            # network_flush_and_report closed the shard's socket.
+            assert target._sock.fileno() == -1
 
     def test_unknown_op_rejected_client_side(self):
         with ServerThread(store_target_factory(store_options)) as handle:
@@ -273,6 +232,48 @@ class TestDriverFingerprintParity:
             s.collected["kind"] == "cluster"
             for s in net_serial.shard_results
         )
+
+
+class TestThreadHandOffs:
+    def test_network_op_crosses_only_client_and_server_loop_threads(self):
+        """Ops execute on the server's loop thread, and the client side
+        starts no thread of its own."""
+        server_threads = set()
+        live_threads = set()
+
+        class RecordingTarget:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def execute(self, op, key, value):
+                server_threads.add(threading.current_thread().name)
+                return execute_op(self.inner, op, key, value)
+
+        inner = store_target_factory(store_options)
+
+        def collect(target):
+            # Runs on the shard's thread, mid-run, socket still open.
+            live_threads.update(t.name for t in threading.enumerate())
+            target.close()
+
+        spec = WorkloadSpec(
+            workload="a", record_count=40, operation_count=100, value_size=8
+        )
+        with ServerThread(
+            lambda shard, seed: RecordingTarget(inner(shard, seed))
+        ) as handle:
+            result = WorkloadDriver(
+                network_target_factory(*handle.address),
+                DriverConfig(spec=spec, shards=2, workers=2, seed=1),
+                collect=collect,
+            ).run()
+        assert result.operations == 2 * spec.operation_count
+        assert server_threads == {"uuidp-serve"}
+        assert "uuidp-serve" in live_threads
+        assert not [
+            name for name in live_threads
+            if name.startswith(("uuidp-client-shard", "uuidp-rpc"))
+        ]
 
 
 class TestChaosOverRPC:
@@ -443,22 +444,59 @@ class TestTimeoutsAndRetries:
         probe.close()
 
         delays = []
-
-        async def recording_sleep(seconds):
-            delays.append(round(seconds, 6))
-
-        monkeypatch.setattr(rpc, "_sleep", recording_sleep)
+        monkeypatch.setattr(
+            rpc, "_sleep", lambda seconds: delays.append(round(seconds, 6))
+        )
         with pytest.raises(RPCConnectionError) as excinfo:
-            asyncio.run(
-                RPCClient.connect(
-                    "127.0.0.1", port, retries=4, backoff=0.05
-                )
-            )
+            NetworkTarget("127.0.0.1", port, shard=0, shard_seed=0)
         # Jitterless doubling schedule, one sleep per failed attempt
         # except the last; the error is unavailability-class.
-        assert delays == [0.05, 0.1, 0.2, 0.4]
-        assert "5 attempt(s)" in str(excinfo.value)
+        assert delays == [0.05, 0.1, 0.2, 0.4, 0.8]
+        assert "6 attempt(s)" in str(excinfo.value)
         assert isinstance(excinfo.value, ClusterUnavailableError)
+
+
+    def test_non_positive_timeouts_are_rejected(self):
+        # Validated before connecting, so no server is needed.
+        for timeout in (0, 0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="timeout"):
+                NetworkTarget("127.0.0.1", 1, shard=0, shard_seed=0,
+                              timeout=timeout)
+            with pytest.raises(ConfigurationError, match="timeout"):
+                network_target_factory("127.0.0.1", 1, timeout=timeout)
+
+    def test_late_reply_after_a_timeout_is_dropped(self):
+        """The reply to a timed-out op arrives later on the same socket;
+        the next op must get its own outcome, not that stale reply."""
+        factory = lambda shard, seed: _SlowGetTarget(delay=0.3)  # noqa: E731
+        with ServerThread(factory) as handle:
+            target = NetworkTarget(
+                *handle.address, shard=0, shard_seed=0, timeout=0.1
+            )
+            try:
+                with pytest.raises(RPCTimeoutError):
+                    target.execute("get", b"k", b"")
+                time.sleep(0.4)  # the stale b"\x00" miss is now in flight
+                assert target.execute("put", b"k", b"v") == b"\x02"
+                assert target.execute("put", b"j", b"w") == b"\x02"
+            finally:
+                target.close()
+
+    def test_failed_attach_closes_the_connection(self):
+        def refusing_factory(shard, seed):
+            raise ValueError("factory refused")
+
+        with ServerThread(refusing_factory) as handle:
+            with pytest.raises(RPCError, match="factory refused") as excinfo:
+                NetworkTarget(*handle.address, shard=0, shard_seed=0)
+            # excinfo's traceback keeps the half-built target alive, so
+            # garbage collection cannot close the socket for it: only
+            # the constructor's own close lets the server see EOF.
+            deadline = time.time() + 5
+            while handle.server._writers:
+                assert time.time() < deadline, "connection leaked"
+                time.sleep(0.01)
+            assert excinfo.value is not None
 
 
 class TestProtocolAbuse:
@@ -561,12 +599,52 @@ class TestProtocolAbuse:
             target = NetworkTarget(*handle.address, shard=0, shard_seed=0)
             try:
                 with pytest.raises(RPCProtocolError):
-                    asyncio.run_coroutine_threadsafe(
-                        target._client.call("put", b"k", b"x" * (1 << 21)),
-                        target._loop.loop,
-                    ).result()
+                    target.execute("put", b"k", b"x" * (1 << 21))
             finally:
                 target.close()
+
+
+    def test_client_rejects_oversized_reply_prefix(self):
+        """A hostile server answers with a length prefix past the
+        client's frame cap: the op fails with a protocol error at once,
+        without waiting for a body that never comes."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        release = threading.Event()
+
+        def read_request_id(stream):
+            length = int.from_bytes(stream.read(4), "big")
+            return decode_frame(stream.read(length))[0]
+
+        def hostile():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                attach_id = read_request_id(stream)
+                conn.sendall(encode_frame(attach_id, STATUS_OK))
+                read_request_id(stream)  # the data op
+                conn.sendall((DEFAULT_MAX_FRAME + 1).to_bytes(4, "big"))
+                release.wait(10)  # hold the socket open; send no body
+
+        server = threading.Thread(target=hostile, daemon=True)
+        server.start()
+        try:
+            target = NetworkTarget(
+                *listener.getsockname(), shard=0, shard_seed=0, timeout=5.0
+            )
+            try:
+                with pytest.raises(RPCProtocolError, match="max frame"):
+                    target.execute("get", b"k", b"")
+                # The stream cannot be trusted after that.
+                with pytest.raises(RPCConnectionError):
+                    target.execute("get", b"k", b"")
+            finally:
+                target.close()
+        finally:
+            release.set()
+            server.join(timeout=5)
+            listener.close()
+        assert not server.is_alive()
 
 
 class TestSlowClientBackpressure:
@@ -673,6 +751,16 @@ class TestServeCLI:
 
         assert main(["kv", "--target", "network"]) == 2
         assert "--addr" in capsys.readouterr().err
+
+    def test_kv_network_rejects_non_positive_op_timeout(self, capsys):
+        from repro.cli import main
+
+        for timeout in ("0", "-1"):
+            assert main([
+                "kv", "--target", "network", "--addr", "127.0.0.1:1",
+                "--op-timeout", timeout,
+            ]) == 2
+            assert "--op-timeout" in capsys.readouterr().err
 
     def test_bad_addr_rejected(self, capsys):
         from repro.cli import main
