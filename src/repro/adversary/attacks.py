@@ -76,23 +76,32 @@ class ClosestPairAttack(AdaptiveAdversary):
 class GreedyGapAttack(AdaptiveAdversary):
     """Every step: press the instance predicted to hit foreign IDs soonest.
 
-    Keeps an incrementally maintained sorted index of every observed ID
-    (with its owner), so each decision costs ``O(n log d)`` instead of
-    rescanning the full transcript.
+    Keeps a sorted index of every observed ID with its owner, each
+    instance's last ID, and each instance's current forward gap, all fed
+    from the events the view reveals. A step that reveals one fresh ID
+    ``v`` from instance ``t`` can only shrink the other instances' gaps
+    (``v`` is foreign to them) and moves ``t``'s prediction, so a
+    decision costs ``O(n)`` integer updates plus one bisect-and-walk for
+    ``t``. A backlog of several events, a repeated ID (its owner
+    changes) or a new instance rebuilds every gap from the index.
     """
 
     def __init__(self, n: int, d: int, rng=None):
         super().__init__(n, d, rng=rng)
         self._sorted_ids: List[int] = []
         self._owner_of: Dict[int, int] = {}
+        self._last: List[int] = []
+        self._gaps: List[int] = []
         self._events_seen = 0
 
-    def _ingest_new_events(self, view: GameView) -> None:
-        for instance, value in view.events_since(self._events_seen):
-            if value not in self._owner_of:
-                bisect.insort(self._sorted_ids, value)
-            self._owner_of[value] = instance
-        self._events_seen = view.steps
+    def _ingest(self, instance: int, value: int) -> None:
+        if value not in self._owner_of:
+            bisect.insort(self._sorted_ids, value)
+        self._owner_of[value] = instance
+        if instance == len(self._last):
+            self._last.append(value)
+        else:
+            self._last[instance] = value
 
     def _forward_gap_to_foreign(self, predicted: int, me: int, m: int) -> int:
         """Circular forward distance from ``predicted`` to the nearest
@@ -108,17 +117,35 @@ class GreedyGapAttack(AdaptiveAdversary):
 
     def exploit(self, view: GameView) -> Optional[int]:
         """Drive the instance whose predicted next ID has the smallest gap."""
-        self._ingest_new_events(view)
+        events = view.events_since(self._events_seen)
+        self._events_seen = view.steps
+        gaps = self._gaps
+        one_fresh_id = (
+            len(events) == 1
+            and len(gaps) == view.num_instances
+            and events[0][1] not in self._owner_of
+        )
+        for instance, value in events:
+            self._ingest(instance, value)
         m = view.m
-        best_instance = 0
-        best_gap = m + 1
-        for i in range(view.num_instances):
-            predicted = (view.last_id_of(i) + 1) % m
-            gap = self._forward_gap_to_foreign(predicted, i, m)
-            if gap < best_gap:
-                best_gap = gap
-                best_instance = i
-        return best_instance
+        if one_fresh_id:
+            mover, value = events[0]
+            # ``value`` is foreign to every other instance: it can only
+            # shrink their gaps, measured from each prediction last + 1.
+            behind = value - 1
+            for i, last in enumerate(self._last):
+                gap = (behind - last) % m
+                if gap < gaps[i]:
+                    gaps[i] = gap
+            gaps[mover] = self._forward_gap_to_foreign(
+                (value + 1) % m, mover, m
+            )
+        elif events or len(gaps) != view.num_instances:
+            gaps[:] = [
+                self._forward_gap_to_foreign((last + 1) % m, i, m)
+                for i, last in enumerate(self._last)
+            ]
+        return gaps.index(min(gaps))
 
 
 class RunSaturationAttack(AdaptiveAdversary):
@@ -127,8 +154,11 @@ class RunSaturationAttack(AdaptiveAdversary):
     ``equalize_fraction`` of the post-probe budget is spent keeping all
     instances at (near-)equal demand — each doubling of an instance's
     demand forces it to reveal a fresh run, maximizing λ, the number of
-    runs an adaptive adversary can aim at. The rest of the budget runs
-    the greedy-gap policy.
+    runs an adaptive adversary can aim at. The equalize phase keeps its
+    own per-instance request counts from the revealed events, so each
+    step costs ``O(n)`` with no copy of the view. The rest of the budget
+    runs the greedy-gap policy, whose first decision rebuilds its gap
+    index from the whole transcript.
     """
 
     def __init__(
@@ -141,11 +171,19 @@ class RunSaturationAttack(AdaptiveAdversary):
             )
         self._equalize_budget = int((d - n) * equalize_fraction)
         self._greedy = GreedyGapAttack(n, d)
+        self._counts: List[int] = []
+        self._events_seen = 0
 
     def exploit(self, view: GameView) -> Optional[int]:
         """Equalize per-instance counts for a budgeted prefix, then go greedy."""
         spent_after_probe = view.steps - self.n
         if spent_after_probe < self._equalize_budget:
-            counts = view.counts()
-            return min(range(len(counts)), key=counts.__getitem__)
+            counts = self._counts
+            for instance, _value in view.events_since(self._events_seen):
+                if instance == len(counts):
+                    counts.append(1)
+                else:
+                    counts[instance] += 1
+            self._events_seen = view.steps
+            return counts.index(min(counts))
         return self._greedy.exploit(view)

@@ -34,16 +34,20 @@ prepended and a ``uuidp`` shim (delegating to ``python -m
 repro.cli``) is placed on ``PATH`` — so docs written against the
 installed entry point check out in a bare tree and in CI without an
 install step. ``REPRO_DOCCHECK_TIMEOUT`` caps seconds per block
-(default 60; rot signatures surface in the first few).
+(default 60; rot signatures surface in the first few). Each block runs
+in its own session, and a block cut at its budget is killed together
+with every process it started.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -188,6 +192,42 @@ def _block_env(src_root: str, shim_dir: str) -> Dict[str, str]:
     return env
 
 
+#: Seconds a stopped block's process group gets to exit on SIGTERM
+#: before the rest of it is killed.
+_TERM_GRACE_S = 2.0
+
+
+def _signal_group(pgid: int, sig: int) -> None:
+    try:
+        os.killpg(pgid, sig)
+    except ProcessLookupError:
+        pass  # every process in the group has already exited
+
+
+def _stop_block(proc: "subprocess.Popen[str]") -> str:
+    """Stop a block and every process it started; return its output.
+
+    SIGTERM comes first so that a block which is itself a doccheck run
+    can stop its own block's session (see :func:`_exit_on_sigterm`);
+    whatever is left of the group after the grace period is killed.
+    """
+    _signal_group(proc.pid, signal.SIGTERM)
+    try:
+        output, _ = proc.communicate(timeout=_TERM_GRACE_S)
+    except subprocess.TimeoutExpired:
+        _signal_group(proc.pid, signal.SIGKILL)
+        output, _ = proc.communicate()
+    # Members that let go of the output pipe and outlived SIGTERM.
+    _signal_group(proc.pid, signal.SIGKILL)
+    return output
+
+
+def _exit_on_sigterm(signum: int, frame: object) -> None:
+    """SIGTERM handler for a doccheck run: exit through ``run_block``'s
+    cleanup instead of dying with the current block still running."""
+    raise SystemExit(128 + signum)
+
+
 def run_block(
     block: CodeBlock,
     cwd: str,
@@ -203,30 +243,37 @@ def run_block(
         argv = ["bash", "-c", block.code]
     else:
         argv = [sys.executable, "-c", block.code]
-    try:
-        proc = subprocess.run(
-            argv,
-            cwd=cwd,
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            timeout=timeout,
-            text=True,
-            errors="replace",
-        )
-    except subprocess.TimeoutExpired as exc:
-        output = exc.output or ""
-        if isinstance(output, bytes):
-            output = output.decode("utf-8", errors="replace")
-        for signature in ROT_SIGNATURES:
-            if signature in output:
-                return BlockResult(
-                    block, "failed", f"rot signature {signature!r}"
-                )
-        return BlockResult(
-            block, "tolerated", f"timeout after {timeout:.0f}s"
-        )
-    status, detail = _classify(proc.returncode, proc.stdout or "")
+    # Each block leads its own session, so a timeout can kill the whole
+    # process group: a `uuidp report --workers 0` block's pool workers
+    # would otherwise outlive the shell that started them.
+    with subprocess.Popen(
+        argv,
+        cwd=cwd,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        errors="replace",
+        start_new_session=True,
+    ) as proc:
+        try:
+            output, _ = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            output = _stop_block(proc)
+            for signature in ROT_SIGNATURES:
+                if signature in output:
+                    return BlockResult(
+                        block, "failed", f"rot signature {signature!r}"
+                    )
+            return BlockResult(
+                block, "tolerated", f"timeout after {timeout:.0f}s"
+            )
+        except BaseException:
+            # Interrupted (a SIGTERM from an outer doccheck, Ctrl-C):
+            # take the block's session down too, then propagate.
+            _stop_block(proc)
+            raise
+    status, detail = _classify(proc.returncode, output)
     return BlockResult(block, status, detail)
 
 
@@ -311,11 +358,18 @@ def check_paths(
         )
     src_root = str(Path(root) / "src")
     results: List[BlockResult] = []
-    with tempfile.TemporaryDirectory(prefix="doccheck-") as shim_dir:
-        _write_uuidp_shim(shim_dir)
-        env = _block_env(src_root, shim_dir)
-        for block in blocks:
-            results.append(run_block(block, root, env, timeout))
+    previous_handler = None
+    if threading.current_thread() is threading.main_thread():
+        previous_handler = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        with tempfile.TemporaryDirectory(prefix="doccheck-") as shim_dir:
+            _write_uuidp_shim(shim_dir)
+            env = _block_env(src_root, shim_dir)
+            for block in blocks:
+                results.append(run_block(block, root, env, timeout))
+    finally:
+        if previous_handler is not None:
+            signal.signal(signal.SIGTERM, previous_handler)
     return DocReport(results=results, files_checked=files)
 
 

@@ -2,6 +2,8 @@
 
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary.adaptive import circular_gap
 from repro.adversary.attacks import (
@@ -10,11 +12,14 @@ from repro.adversary.attacks import (
     RunSaturationAttack,
     closest_trailing_pair,
 )
-from repro.adversary.base import GameView
+from repro.adversary.base import Adversary, GameView
 from repro.core.cluster import ClusterGenerator
 from repro.errors import GameError
+from repro.simulation.batch import SpecFactory
 from repro.simulation.game import Game
 from repro.simulation.montecarlo import estimate_collision_probability
+
+from attack_oracle import OracleGreedyGapAttack, OracleRunSaturationAttack
 
 
 def make_view(m, first_ids):
@@ -116,10 +121,41 @@ class TestGreedyGapAttack:
     def test_incremental_ingestion_consistency(self):
         view = make_view(1000, [5, 300])
         attack = GreedyGapAttack(n=2, d=10)
+        oracle = OracleGreedyGapAttack(n=2, d=10)
         first = attack.exploit(view)
+        assert first == oracle.exploit(view) == 0
         view._record(first, 6, False)
         second = attack.exploit(view)
-        assert second in (0, 1)
+        assert second == oracle.exploit(view) == 0
+
+    @pytest.mark.parametrize(
+        "batches, expected",
+        [
+            # One fresh ID per step: instance 0 steps forward, then
+            # lands just ahead of instance 1's prediction, which flips
+            # the choice to instance 1.
+            ([[(0, 6)], [(0, 302)]], [0, 0, 1]),
+            # A backlog of several events at once, as at
+            # RunSaturationAttack's hand-off to greedy.
+            ([[(0, 6), (1, 301), (1, 302), (0, 7)]], [0, 0]),
+            # A repeated ID changes owner: instance 1 collides on 6.
+            ([[(0, 6)], [(1, 6)]], [0, 0, 0]),
+            # A new instance appears after the probes.
+            ([[(0, 6)], [(2, 298)]], [0, 0, 2]),
+        ],
+    )
+    def test_incremental_ingestion_matches_oracle(self, batches, expected):
+        view = make_view(1000, [5, 300])
+        attack = GreedyGapAttack(n=2, d=10)
+        oracle = OracleGreedyGapAttack(n=2, d=10)
+        choices = [attack.exploit(view)]
+        assert choices[0] == oracle.exploit(view)
+        for batch in batches:
+            for instance, value in batch:
+                view._record(instance, value, False)
+            choices.append(attack.exploit(view))
+            assert choices[-1] == oracle.exploit(view)
+        assert choices == expected
 
     def test_attack_is_at_least_as_strong_as_closest_pair_on_cluster(self):
         m, n, d = 1 << 14, 6, 192
@@ -158,3 +194,62 @@ class TestRunSaturationAttack:
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
             RunSaturationAttack(n=2, d=10, equalize_fraction=1.5)
+
+
+class _RecordingAdversary(Adversary):
+    """Passes every decision through and keeps the sequence."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.decisions = []
+
+    def begin(self, view):
+        self.inner.begin(view)
+
+    def next_request(self, view):
+        choice = self.inner.next_request(view)
+        self.decisions.append(choice)
+        return choice
+
+
+def _play_recorded(spec, m, attack, seed, stop_on_collision):
+    recorder = _RecordingAdversary(attack)
+    result = Game(
+        SpecFactory(spec),
+        m,
+        recorder,
+        seed=seed,
+        stop_on_collision=stop_on_collision,
+        keep_transcript=True,
+    ).run()
+    return recorder.decisions, result
+
+
+class TestIncrementalGapIndexMatchesOracle:
+    """The incremental attacks decide exactly as the full-rescan ones."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        spec=st.sampled_from(
+            ["cluster", "cluster_star", "random", "bins:8", "bins_star"]
+        ),
+        m=st.sampled_from([64, 257, 1024]),
+        n=st.integers(2, 16),
+        extra=st.integers(0, 48),
+        stop_on_collision=st.booleans(),
+        equalize_fraction=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_decisions_and_result(
+        self, spec, m, n, extra, stop_on_collision, equalize_fraction, seed
+    ):
+        d = n + min(extra, 3 * n)
+        if equalize_fraction is None:
+            attack = GreedyGapAttack(n, d)
+            oracle = OracleGreedyGapAttack(n, d)
+        else:
+            attack = RunSaturationAttack(n, d, equalize_fraction)
+            oracle = OracleRunSaturationAttack(n, d, equalize_fraction)
+        got = _play_recorded(spec, m, attack, seed, stop_on_collision)
+        want = _play_recorded(spec, m, oracle, seed, stop_on_collision)
+        assert got == want

@@ -4,6 +4,7 @@ rot classification, and end-to-end runs over real markdown files."""
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -118,6 +119,21 @@ def _write_doc(tmp_path, text):
     return str(doc)
 
 
+def _process_alive(pid, wait_s=5.0):
+    """True if ``pid`` is still running (not gone, not a zombie) after
+    up to ``wait_s`` seconds; the orphan's reaper may lag its kill."""
+    deadline = time.monotonic() + wait_s
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                state = stat.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return False
+        if state == "Z" or time.monotonic() > deadline:
+            return state != "Z"
+        time.sleep(0.05)
+
+
 class TestCheckPaths:
     def test_mixed_doc_is_fully_classified(self, tmp_path):
         doc = _write_doc(
@@ -190,6 +206,51 @@ class TestCheckPaths:
         (result,) = report.results
         assert result.status == "tolerated"
         assert "timeout" in result.detail
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process state from /proc"
+    )
+    def test_timeout_kills_the_blocks_grandchildren(self, tmp_path):
+        # A block's background children (a report's pool workers, say)
+        # must die with it when the block is cut at its budget. The
+        # child lets go of the output pipe, so reading the block's
+        # output cannot be what waits for it to end.
+        doc = _write_doc(
+            tmp_path,
+            "```bash\nsleep 30 >/dev/null 2>&1 &\n"
+            "echo $! > child.pid\nwait\n```\n",
+        )
+        report = check_paths([doc], root=str(tmp_path), timeout=1.0)
+        (result,) = report.results
+        assert result.status == "tolerated"
+        pid = int((tmp_path / "child.pid").read_text())
+        assert not _process_alive(pid)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process state from /proc"
+    )
+    def test_timeout_reaches_a_nested_doccheck_blocks_children(
+        self, tmp_path
+    ):
+        # The docs document `uuidp doccheck` itself, so a block can be a
+        # doccheck whose own blocks run in sessions of their own; cutting
+        # the outer block must still stop the inner block's children.
+        pid_file = tmp_path / "child.pid"
+        inner = tmp_path / "inner.md"
+        inner.write_text(
+            "```bash\nsleep 30 >/dev/null 2>&1 &\n"
+            f"echo $! > {pid_file}\nwait\n```\n",
+            encoding="utf-8",
+        )
+        outer = tmp_path / "outer.md"
+        outer.write_text(
+            f"```bash\nuuidp doccheck {inner} --timeout 30\n```\n",
+            encoding="utf-8",
+        )
+        report = check_paths([str(outer)], root=os.getcwd(), timeout=5.0)
+        (result,) = report.results
+        assert result.status == "tolerated"
+        assert not _process_alive(int(pid_file.read_text()))
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(LintError):
