@@ -21,10 +21,9 @@ Estimation plans
 
 Monte-Carlo estimation runs through one seam
 (:mod:`repro.simulation.plan`): a frozen :class:`SimulationPlan`
-naming the engine (``python`` game loop, ``batched`` set ops,
-``numpy`` vectorized kernels — all pluggable via the engine
-registry), the worker-process count, and optionally an adaptive
-precision target:
+naming the engine (``python`` game loop or ``numpy`` vectorized
+kernels — both pluggable via the engine registry), the worker-process
+count, and optionally an adaptive precision target:
 
 * ``estimate_collision_probability(..., plan=SimulationPlan(workers=N))``
   shards trials across ``N`` processes; per-trial seed derivation
@@ -38,7 +37,7 @@ precision target:
 * every :class:`IDGenerator` offers ``generate_batch(count)``, a
   vectorized fast path producing whole demand vectors per call
   (optimized for ``Random``, ``Bins``, ``Cluster`` and ``Cluster*``);
-  ``estimate_profile_collision`` uses it by default.
+  ``estimate_profile_collision`` always uses it.
 """
 
 from repro.adversary import (

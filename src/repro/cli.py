@@ -35,7 +35,7 @@ from repro.adversary.attacks import ClosestPairAttack, GreedyGapAttack
 from repro.adversary.profiles import DemandProfile
 from repro.analysis.exact import exact_collision_probability
 from repro.core.registry import available_algorithms, make_generator
-from repro.errors import ReproError
+from repro.errors import ProfileError, ReproError
 from repro.experiments import (
     ExperimentConfig,
     experiment_ids,
@@ -63,7 +63,15 @@ def _plan_from_args(args: argparse.Namespace) -> SimulationPlan:
 
 
 def _parse_profile(text: str) -> DemandProfile:
-    return DemandProfile(tuple(int(x) for x in text.split(",")))
+    demands = []
+    for entry in text.split(","):
+        try:
+            demands.append(int(entry))
+        except ValueError:
+            raise ProfileError(
+                f"demand profile {text!r}: entry {entry!r} is not an integer"
+            ) from None
+    return DemandProfile(tuple(demands))
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -750,9 +758,8 @@ def _add_plan_options(parser: argparse.ArgumentParser) -> None:
         default="python",
         help="Monte-Carlo trial engine: 'numpy' vectorizes oblivious "
         "trials as array operations (much faster, composes with "
-        "--workers), 'batched' pins the python fast path. python and "
-        "batched share one reproducible RNG stream; numpy is its own, "
-        "so its estimates differ by Monte-Carlo noise",
+        "--workers). Each engine has its own reproducible RNG stream, "
+        "so python and numpy estimates differ by Monte-Carlo noise",
     )
     parser.add_argument(
         "--precision",

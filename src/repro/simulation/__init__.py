@@ -9,13 +9,8 @@ from repro.simulation.batch import (
     count_range,
     play_trial,
     resolve_workers,
-    run_trials,
 )
-from repro.simulation.engines import (
-    BatchedEngine,
-    NumpyEngine,
-    PythonEngine,
-)
+from repro.simulation.engines import NumpyEngine, PythonEngine
 from repro.simulation.game import Game, GameResult, play_profile
 from repro.simulation.montecarlo import (
     Estimate,
@@ -58,7 +53,6 @@ __all__ = [
     "ObliviousFactory",
     "AttackFactory",
     "play_trial",
-    "run_trials",
     "count_range",
     "resolve_workers",
     "SimulationPlan",
@@ -72,7 +66,6 @@ __all__ = [
     "register_engine",
     "available_engines",
     "PythonEngine",
-    "BatchedEngine",
     "NumpyEngine",
     "NUMPY_SEED_LABEL",
     "VectorPlan",

@@ -16,15 +16,16 @@ them to :func:`count_range` here. Three mechanisms live in this file:
   loop entirely: each instance produces its whole demand vector through
   :meth:`repro.core.base.IDGenerator.generate_batch` and collisions are
   detected with set operations. The per-trial collision outcome is
-  provably the same as the game loop's, so estimates never change.
+  provably the same as the game loop's, so this path is always taken
+  where it applies and estimates never change.
 * **Vectorization** — ``engine="numpy"`` goes further and simulates a
   whole block of oblivious trials as array operations
   (:mod:`repro.simulation.vectorized`). Dispatch requires a
   :class:`SpecFactory` for one of the five core algorithms plus a
   sequential :class:`ObliviousFactory`; anything else (adaptive
   attacks, custom factories, out-of-regime profiles, a missing NumPy)
-  silently runs the python path. Unlike ``workers``/``batch`` — pure
-  go-faster knobs — the NumPy engine is a *separate RNG universe*:
+  silently runs the python path. Unlike ``workers`` — a pure
+  go-faster knob — the NumPy engine is a *separate RNG universe*:
   estimates are reproducible per engine but differ across engines by
   ordinary Monte-Carlo noise.
 
@@ -204,15 +205,16 @@ def play_trial(
     trial: int,
     stop_on_collision: bool = True,
     max_steps: Optional[int] = None,
-    batch: bool = False,
 ) -> bool:
     """Play trial number ``trial`` and return whether it collided.
 
     This is *the* definition of a trial: both the serial loop and every
     worker process call it, which is what makes estimates independent
-    of how trials are scheduled.
+    of how trials are scheduled. A sequential, non-empty
+    :class:`ObliviousFactory` without ``max_steps`` takes the batched
+    ``generate_batch`` trial; everything else plays the game loop.
     """
-    if batch and max_steps is None:
+    if max_steps is None:
         profile = _batchable_profile(adversary_factory)
         if profile is not None:
             return _play_profile_trial_batched(
@@ -264,7 +266,6 @@ _TrialBlock = Tuple[
     int,  # trials — total trial count across all blocks
     bool,  # stop_on_collision
     Optional[int],  # max_steps
-    bool,  # batch
     str,  # engine
 ]
 
@@ -281,7 +282,6 @@ def _run_trial_block(payload: _TrialBlock) -> int:
         trials,
         stop_on_collision,
         max_steps,
-        batch,
         engine,
     ) = payload
     if engine == "numpy" and max_steps is None:
@@ -298,7 +298,6 @@ def _run_trial_block(payload: _TrialBlock) -> int:
             trial,
             stop_on_collision=stop_on_collision,
             max_steps=max_steps,
-            batch=batch,
         ):
             collisions += 1
     return collisions
@@ -354,16 +353,12 @@ _numpy_fallback_warned = False
 def _resolve_engine_kind(engine: str) -> str:
     """Normalize an engine name to a trial-block kind.
 
-    ``batched`` is the python RNG universe with the batched fast path
-    forced on, so blocks execute as ``python``; ``numpy`` degrades to
-    ``python`` (with a once-per-process warning) when NumPy is absent.
-    Anything else is rejected loudly: this module only knows how to
-    execute the built-in kinds, and silently running the python loop
-    for, say, a registered third-party engine name would return
-    wrong-universe counts with no warning.
+    ``numpy`` degrades to ``python`` (with a once-per-process warning)
+    when NumPy is absent. Anything else is rejected loudly: this module
+    only knows how to execute the built-in kinds, and silently running
+    the python loop for, say, a registered third-party engine name
+    would return wrong-universe counts with no warning.
     """
-    if engine == "batched":
-        return "python"
     if engine == "numpy" and not vectorized.numpy_available():
         global _numpy_fallback_warned
         if not _numpy_fallback_warned:
@@ -380,7 +375,7 @@ def _resolve_engine_kind(engine: str) -> str:
     if engine not in ("python", "numpy"):
         raise ConfigurationError(
             f"count_range cannot execute engine {engine!r}; it only "
-            "implements the built-in python/batched/numpy kinds — "
+            "implements the built-in python/numpy kinds — "
             "custom engines must provide their own run_rounds"
         )
     return engine
@@ -396,17 +391,15 @@ def count_range(
     stop_on_collision: bool = True,
     max_steps: Optional[int] = None,
     workers: Optional[int] = None,
-    batch: bool = False,
     engine: str = "python",
     executor: Optional[ProcessPoolExecutor] = None,
 ) -> int:
     """Count collisions over the trial indices ``[start, stop)``.
 
-    The partition-invariant primitive beneath :func:`run_trials` and
-    the plan-layer engines: each trial's outcome is a pure function of
-    ``(seed, trial index)``, so counts over any index range compose by
-    addition and never depend on ``workers``, ``batch``, or how a
-    caller slices the range into rounds.
+    The partition-invariant primitive beneath the plan-layer engines:
+    each trial's outcome is a pure function of ``(seed, trial index)``,
+    so counts over any index range compose by addition and never depend
+    on ``workers`` or how a caller slices the range into rounds.
 
     Callers issuing many calls (the plan layer's rounds) pass a shared
     ``executor`` so worker processes are spawned once, not per call;
@@ -423,8 +416,6 @@ def count_range(
         if obstacle is not None:
             _warn_unpicklable(obstacle)
             count = 1
-    if engine == "batched":
-        batch = True
     payloads = [
         (
             factory,
@@ -436,7 +427,6 @@ def count_range(
             stop,
             stop_on_collision,
             max_steps,
-            batch,
             kind,
         )
         for shard in range(count)
@@ -447,48 +437,3 @@ def count_range(
         return sum(executor.map(_run_trial_block, payloads))
     with ProcessPoolExecutor(max_workers=count) as pool:
         return sum(pool.map(_run_trial_block, payloads))
-
-
-def run_trials(
-    factory: InstanceFactory,
-    m: int,
-    adversary_factory: AdversaryFactory,
-    trials: int,
-    seed: int = 0,
-    stop_on_collision: bool = True,
-    max_steps: Optional[int] = None,
-    workers: Optional[int] = None,
-    batch: bool = False,
-    engine: str = "python",
-) -> int:
-    """Count collisions over ``trials`` independent seeded games.
-
-    Within one RNG universe the result depends only on ``(seed,
-    trials)`` and the factories — never on ``workers`` or ``batch`` —
-    because each trial's outcome is a pure function of its derived seed
-    and addition commutes across shards. ``engine="numpy"`` switches
-    batchable oblivious workloads to the vectorized kernels of
-    :mod:`repro.simulation.vectorized` (a separate, equally
-    reproducible RNG universe); non-vectorizable workloads run the
-    python path unchanged. ``engine`` accepts any registered engine
-    name (see :func:`repro.simulation.plan.available_engines`) —
-    execution goes through that engine's own ``run_rounds``.
-    """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    from repro.simulation.plan import SimulationPlan, TrialTask, get_engine
-
-    plan = SimulationPlan(engine=engine, workers=workers, batch=batch)
-    task = TrialTask(
-        factory=factory,
-        m=m,
-        adversary_factory=adversary_factory,
-        stop_on_collision=stop_on_collision,
-        max_steps=max_steps,
-    )
-    return sum(
-        round_result.collisions
-        for round_result in get_engine(engine).run_rounds(
-            plan, task, seed, 0, trials
-        )
-    )

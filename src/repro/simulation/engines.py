@@ -1,25 +1,21 @@
 """The built-in estimation engines, registered behind the plan seam.
 
-Three backends self-register into :data:`repro.simulation.plan.REGISTRY`
+Two backends self-register into :data:`repro.simulation.plan.REGISTRY`
 on import:
 
 ``python``
     The reference engine: per-trial game loop, with the batched
-    oblivious fast path enabled per ``plan.batch`` and trials sharded
-    across ``plan.workers`` processes. Bit-identical at any split.
-``batched``
-    The python RNG universe with the batched set-operation path forced
-    on regardless of ``plan.batch`` — bit-identical to ``python``
-    (batching is a pure go-faster knob), listed separately so callers
-    can pin the fast path explicitly.
+    oblivious fast path wherever it applies (bit-identical to the
+    loop) and trials sharded across ``plan.workers`` processes.
+    Bit-identical at any split.
 ``numpy``
     The vectorized kernels of :mod:`repro.simulation.vectorized`:
     whole rounds of oblivious trials as array operations, same
-    split-invariance, but a *separate RNG universe* from the python
-    pair. Workloads the kernels cannot express — and hosts without
-    NumPy (once-per-process warning) — degrade to the python path.
+    split-invariance, but a *separate RNG universe* from ``python``.
+    Workloads the kernels cannot express — and hosts without NumPy
+    (once-per-process warning) — degrade to the python path.
 
-All three delegate range counting to
+Both delegate range counting to
 :func:`repro.simulation.batch.count_range`, whose per-trial purity is
 what lets the plan layer promise split-invariant estimates. A new
 backend only needs :meth:`Engine.run_rounds` yielding partition-pure
@@ -51,8 +47,6 @@ class _RangeEngine(Engine):
 
     #: Trial-block kind handed to ``count_range``.
     kind: str = "python"
-    #: ``None`` defers to ``plan.batch``; a bool forces the fast path.
-    force_batch = None
 
     def _slices(
         self, plan: SimulationPlan, start: int, stop: int
@@ -89,7 +83,6 @@ class _RangeEngine(Engine):
     ) -> Iterator[RoundResult]:
         if stop <= start:
             return
-        batch = plan.batch if self.force_batch is None else self.force_batch
         slices = self._slices(plan, start, stop)
         # One worker pool and one picklability probe for the whole
         # call: neither small round sizes nor adaptive checkpoints may
@@ -123,7 +116,6 @@ class _RangeEngine(Engine):
                     stop_on_collision=task.stop_on_collision,
                     max_steps=task.max_steps,
                     workers=plan_workers,
-                    batch=batch,
                     engine=self.kind,
                     executor=executor,
                 )
@@ -134,18 +126,10 @@ class _RangeEngine(Engine):
 
 
 class PythonEngine(_RangeEngine):
-    """Per-trial game loop (optionally batched) — the reference engine."""
+    """Per-trial game loop, batched where oblivious: the reference."""
 
     name = "python"
     kind = "python"
-
-
-class BatchedEngine(_RangeEngine):
-    """Python universe with the batched oblivious fast path pinned on."""
-
-    name = "batched"
-    kind = "python"
-    force_batch = True
 
 
 class NumpyEngine(_RangeEngine):
@@ -156,14 +140,11 @@ class NumpyEngine(_RangeEngine):
 
 
 PYTHON_ENGINE = register_engine(PythonEngine())
-BATCHED_ENGINE = register_engine(BatchedEngine())
 NUMPY_ENGINE = register_engine(NumpyEngine())
 
 __all__ = [
     "PythonEngine",
-    "BatchedEngine",
     "NumpyEngine",
     "PYTHON_ENGINE",
-    "BATCHED_ENGINE",
     "NUMPY_ENGINE",
 ]

@@ -8,10 +8,9 @@ experiments regularly produce.
 
 This module is a thin façade over the estimation seam of
 :mod:`repro.simulation.plan`: *how* trials execute — which engine
-(python game loop, batched set ops, NumPy kernels), how many worker
-processes, what precision to stop at — is described by one frozen
-:class:`~repro.simulation.plan.SimulationPlan` instead of loose
-keyword arguments:
+(python game loop or NumPy kernels), how many worker processes, what
+precision to stop at — is described by one frozen
+:class:`~repro.simulation.plan.SimulationPlan`:
 
     plan = SimulationPlan(engine="numpy", workers=0,
                           target_halfwidth=0.01)
@@ -25,10 +24,6 @@ behaviour bit for bit. Either way the estimate is identical for any
 ``workers=``/round split of the same plan; only switching to the
 ``numpy`` engine changes the RNG universe (same distribution,
 different noise).
-
-The pre-plan keyword arguments ``workers=``, ``batch=`` and
-``engine=`` still work but emit a :class:`DeprecationWarning`; they
-will be removed one release after the plan API landed.
 """
 
 from __future__ import annotations
@@ -45,12 +40,7 @@ from repro.simulation.batch import (
     resolve_workers,
 )
 from repro.simulation.game import InstanceFactory
-from repro.simulation.plan import (
-    SimulationPlan,
-    TrialTask,
-    fold_legacy_kwargs,
-    run_plan,
-)
+from repro.simulation.plan import SimulationPlan, TrialTask, run_plan
 from repro.simulation.stats import (  # noqa: F401 - re-exports
     Estimate,
     _normal_quantile,
@@ -59,42 +49,7 @@ from repro.simulation.stats import (  # noqa: F401 - re-exports
 
 AdversaryFactory = Callable[[random.Random], Adversary]
 
-#: Sentinel distinguishing "not passed" from an explicit value for the
-#: deprecated go-faster kwargs.
-_UNSET = object()
-
 _DEFAULT_PLAN = SimulationPlan()
-
-
-def _effective_plan(
-    plan: Optional[SimulationPlan],
-    workers: object,
-    batch: object,
-    engine: object,
-    stacklevel: int = 3,
-) -> SimulationPlan:
-    """Fold the deprecated kwargs into a plan, warning when they appear.
-
-    ``stacklevel`` must point the warning at the *user's* call site.
-    The default fits a direct caller of the public ``estimate_*``
-    functions; a wrapper either passes one more frame per layer of
-    indirection or — like :func:`estimate_profile_collision` — folds
-    the kwargs itself and hands its delegate a finished ``plan``.
-    """
-    base = _DEFAULT_PLAN if plan is None else plan
-    overrides = {}
-    if workers is not _UNSET:
-        overrides["workers"] = workers
-    if batch is not _UNSET:
-        overrides["batch"] = batch
-    if engine is not _UNSET:
-        overrides["engine"] = engine
-    return fold_legacy_kwargs(
-        base,
-        overrides,
-        "the workers=/batch=/engine= keyword argument form",
-        stacklevel=stacklevel,
-    )
 
 
 def estimate_collision_probability(
@@ -106,9 +61,6 @@ def estimate_collision_probability(
     confidence: Optional[float] = None,
     stop_on_collision: bool = True,
     max_steps: Optional[int] = None,
-    workers: object = _UNSET,
-    batch: object = _UNSET,
-    engine: object = _UNSET,
     plan: Optional[SimulationPlan] = None,
     _stacklevel: int = 3,
 ) -> Estimate:
@@ -120,14 +72,10 @@ def estimate_collision_probability(
     ``target_halfwidth`` stops earlier once the Wilson CI is tight
     enough, while the default fixed-mode plan runs the cap exactly.
 
-    Execution (engine choice, worker processes, batching, round size)
-    belongs to the plan — see :class:`SimulationPlan`. The deprecated
-    ``workers=``/``batch=``/``engine=`` keywords still fold into the
-    plan with a :class:`DeprecationWarning`.
+    Execution (engine choice, worker processes, round size) belongs to
+    the plan — see :class:`SimulationPlan`.
     """
-    effective = _effective_plan(
-        plan, workers, batch, engine, stacklevel=_stacklevel
-    )
+    effective = _DEFAULT_PLAN if plan is None else plan
     # Downgrade unpicklable-factory plans here, where the warning can
     # still point at the caller's line (inside the engine it would
     # attribute to plan-layer internals). The engine re-probes once for
@@ -160,16 +108,13 @@ def estimate_profile_collision(
     trials: Optional[int] = None,
     seed: Optional[int] = None,
     confidence: Optional[float] = None,
-    workers: object = _UNSET,
-    batch: object = _UNSET,
-    engine: object = _UNSET,
     plan: Optional[SimulationPlan] = None,
 ) -> Estimate:
     """Estimate ``p_A(D)`` for an oblivious profile ``D``.
 
     Oblivious sequential games admit every fast path: the batched
-    ``generate_batch`` trial (on by default, bit-identical to the game
-    loop) and the vectorized kernels of ``plan.engine = "numpy"``. See
+    ``generate_batch`` trial (bit-identical to the game loop) and the
+    vectorized kernels of ``plan.engine = "numpy"``. See
     :func:`estimate_collision_probability` for the plan and
     reproducibility semantics.
     """
@@ -181,9 +126,6 @@ def estimate_profile_collision(
         seed=seed,
         confidence=confidence,
         stop_on_collision=False,
-        workers=workers,
-        batch=batch,
-        engine=engine,
         plan=plan,
         # one wrapper frame between the user and the delegate's warnings
         _stacklevel=4,

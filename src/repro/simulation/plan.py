@@ -1,20 +1,17 @@
 """The estimation seam: :class:`SimulationPlan`, engines, adaptive stopping.
 
-Monte-Carlo estimation used to thread three hand-rolled go-faster
-knobs (``engine=``, ``workers=``, ``batch=``) through every call site.
-This module replaces that with one frozen policy object plus a
-registry of pluggable execution backends:
+Every Monte-Carlo estimate is described by one frozen policy object
+and executed by a backend from a registry:
 
 * :class:`SimulationPlan` — *how* to estimate: which engine, how many
-  worker processes, execution granularity, and — new — *to what
-  precision*. With ``target_halfwidth`` set, trials run in seeded
-  rounds and stop early at the first checkpoint whose Wilson-CI
-  half-width is small enough (or at the trial cap).
+  worker processes, execution granularity, and *to what precision*.
+  With ``target_halfwidth`` set, trials run in seeded rounds and stop
+  early at the first checkpoint whose Wilson-CI half-width is small
+  enough (or at the trial cap).
 * :class:`Engine` / :class:`EngineRegistry` — the protocol behind
-  which the python game-loop engine, the batched set-operation engine,
-  and the NumPy vectorized engine self-register
-  (:mod:`repro.simulation.engines`). Future backends (GPU,
-  distributed) plug in here instead of growing another kwarg.
+  which the python game-loop engine and the NumPy vectorized engine
+  self-register (:mod:`repro.simulation.engines`). Future backends
+  (GPU, distributed) plug in here instead of growing another kwarg.
 * :func:`run_plan` — the driver: executes a :class:`TrialTask` under a
   plan and returns an :class:`~repro.simulation.stats.Estimate`.
 
@@ -26,27 +23,39 @@ identical** regardless of ``workers=`` count, ``round_size``, or any
 internal chunking, because
 
 1. every trial's outcome is a pure function of ``(root seed, trial
-   index)`` (PRs 1–2 established this for all three engines), so
-   collision counts over an index range are partition-invariant; and
+   index)`` for both engines, so collision counts over an index range
+   are partition-invariant; and
 2. adaptive stopping is evaluated only at *checkpoints* — a trial-count
    schedule derived purely from the plan's precision fields
    (``min_trials`` doubling up to the cap), never from how trials were
    scheduled onto rounds or workers.
 
-Changing the engine between the python/batched pair and ``numpy``
-changes the RNG universe (documented in
-:mod:`repro.simulation.vectorized`); everything else is execution
-detail.
+Changing the engine between ``python`` and ``numpy`` changes the RNG
+universe (documented in :mod:`repro.simulation.vectorized`);
+everything else is execution detail.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.simulation.stats import Estimate, wilson_interval
+
+
+def _require_count(name: str, value: Any) -> None:
+    """Reject a non-integer count before an engine trips over it."""
+    if value is None:
+        return
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -56,11 +65,9 @@ class SimulationPlan:
     Execution fields (never change the estimate):
 
     * ``engine`` — registry name of the backend (``python``,
-      ``batched``, ``numpy``, …).
+      ``numpy``, …).
     * ``workers`` — process count per round (``None``/``1`` serial,
       ``0`` one per CPU).
-    * ``batch`` — let the python engine use the batched oblivious
-      fast path where it applies (bit-identical either way).
     * ``round_size`` — trials per engine dispatch inside a checkpoint
       segment (``None`` = one dispatch per segment). Memory/latency
       knob only.
@@ -85,7 +92,6 @@ class SimulationPlan:
 
     engine: str = "python"
     workers: Optional[int] = None
-    batch: bool = True
     round_size: Optional[int] = None
     seed: int = 0
     confidence: float = 0.95
@@ -99,6 +105,8 @@ class SimulationPlan:
             raise ConfigurationError(
                 f"engine must be a non-empty string, got {self.engine!r}"
             )
+        for name in ("workers", "round_size", "min_trials", "max_trials"):
+            _require_count(name, getattr(self, name))
         if self.workers is not None and self.workers < 0:
             raise ConfigurationError(
                 f"workers must be >= 0, got {self.workers}"
@@ -122,9 +130,9 @@ class SimulationPlan:
             raise ConfigurationError(
                 f"min_trials must be >= 1, got {self.min_trials}"
             )
-        if not self.growth > 1:
+        if not (self.growth > 1 and math.isfinite(self.growth)):
             raise ConfigurationError(
-                f"growth must be > 1, got {self.growth}"
+                f"growth must be finite and > 1, got {self.growth}"
             )
         if self.max_trials is not None and self.max_trials < 1:
             raise ConfigurationError(
@@ -146,6 +154,7 @@ class SimulationPlan:
         The smaller of the call site's ``trials`` and the plan's
         ``max_trials``; at least one of the two must be set.
         """
+        _require_count("trials", trials)
         if trials is None and self.max_trials is None:
             raise ConfigurationError(
                 "no trial cap: pass trials= or set SimulationPlan.max_trials"
@@ -294,35 +303,6 @@ def available_engines() -> Tuple[str, ...]:
     return REGISTRY.names()
 
 
-def fold_legacy_kwargs(
-    base: SimulationPlan,
-    overrides: Dict[str, Any],
-    context: str,
-    stacklevel: int = 3,
-) -> SimulationPlan:
-    """Fold deprecated execution kwargs into ``base``, warning once.
-
-    The single implementation behind every pre-plan shim
-    (``estimate_*``'s ``workers=/batch=/engine=`` and
-    ``ExperimentConfig``'s ``workers=/engine=``), so the deprecation
-    wording and folding semantics cannot drift apart during the
-    removal window. ``overrides`` holds only the kwargs the caller
-    actually passed.
-    """
-    if not overrides:
-        return base
-    import warnings
-
-    warnings.warn(
-        f"{context} is deprecated; pass plan=SimulationPlan("
-        + ", ".join(f"{key}={value!r}" for key, value in overrides.items())
-        + ") instead",
-        DeprecationWarning,
-        stacklevel=stacklevel + 1,
-    )
-    return base.evolve(**overrides)
-
-
 def run_plan(
     plan: SimulationPlan,
     task: TrialTask,
@@ -450,5 +430,4 @@ __all__ = [
     "available_engines",
     "run_plan",
     "iter_rounds",
-    "fold_legacy_kwargs",
 ]

@@ -4,8 +4,10 @@ Three guarantees are under test:
 
 * **Determinism** — ``estimate_collision_probability`` under a
   ``SimulationPlan(workers=N)`` returns a bit-identical
-  :class:`Estimate` for every ``N`` (and for ``batch=True``/``False``),
-  because trial outcomes depend only on the root seed and trial index.
+  :class:`Estimate` for every ``N``, and the batched oblivious trial
+  matches the game loop it replaces (forced through
+  :class:`GameLoopOnly`), because trial outcomes depend only on the
+  root seed and trial index.
 * **Batch equivalence** — ``generate_batch`` emits exactly the IDs
   repeated ``next_id`` calls would, for every registered algorithm,
   under any chunking.
@@ -30,13 +32,14 @@ from repro.simulation.batch import (
     SpecFactory,
     play_trial,
     resolve_workers,
-    run_trials,
 )
 from repro.simulation.montecarlo import (
     estimate_collision_probability,
     estimate_profile_collision,
 )
 from repro.simulation.plan import SimulationPlan
+
+from game_loop_oracle import GameLoopOnly
 
 #: One spec per registered algorithm family (parameterized ones get
 #: concrete arguments).
@@ -115,12 +118,12 @@ class TestExhaustionMidBatch:
         factory = SpecFactory("bins_star")
         for trial in range(20):
             loop = play_trial(
-                factory, 64, ObliviousFactory(profile), 11, trial,
-                stop_on_collision=False, batch=False,
+                factory, 64, GameLoopOnly(ObliviousFactory(profile)), 11,
+                trial, stop_on_collision=False,
             )
             fast = play_trial(
                 factory, 64, ObliviousFactory(profile), 11, trial,
-                stop_on_collision=False, batch=True,
+                stop_on_collision=False,
             )
             assert loop == fast
 
@@ -130,14 +133,16 @@ class TestParallelDeterminism:
     def test_profile_estimate_identical_across_workers(self, spec):
         profile = DemandProfile.of(48, 24, 12, 6)
         m = 1 << 14
-        estimates = [
-            estimate_profile_collision(
-                SpecFactory(spec), m, profile, trials=120, seed=17,
-                plan=SimulationPlan(workers=workers, batch=batch),
-            )
-            for workers in (1, 2, 8)
-            for batch in (False, True)
-        ]
+        estimates = []
+        for workers in (1, 2, 8):
+            plan = SimulationPlan(workers=workers)
+            estimates.append(estimate_collision_probability(
+                SpecFactory(spec), m, GameLoopOnly(ObliviousFactory(profile)),
+                trials=120, seed=17, stop_on_collision=False, plan=plan,
+            ))
+            estimates.append(estimate_profile_collision(
+                SpecFactory(spec), m, profile, trials=120, seed=17, plan=plan,
+            ))
         assert all(e == estimates[0] for e in estimates)
         # and sanity: some collisions at this density, deterministically
         assert estimates[0].trials == 120
@@ -158,10 +163,10 @@ class TestParallelDeterminism:
         # The picklable shims must not change what gets estimated.
         profile = DemandProfile.of(32, 16)
         m = 1 << 12
-        legacy = estimate_profile_collision(
+        legacy = estimate_collision_probability(
             lambda mm, rr: make_generator("cluster", mm, rr),
-            m, profile, trials=150, seed=9,
-            plan=SimulationPlan(batch=False),
+            m, GameLoopOnly(ObliviousFactory(profile)),
+            trials=150, seed=9, stop_on_collision=False,
         )
         shimmed = estimate_profile_collision(
             SpecFactory("cluster"), m, profile,
@@ -176,13 +181,6 @@ class TestParallelDeterminism:
                 lambda mm, rr: make_generator("cluster", mm, rr),
                 1 << 12, profile, trials=10, seed=1,
                 plan=SimulationPlan(workers=2),
-            )
-
-    def test_run_trials_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_trials(
-                SpecFactory("cluster"), 64,
-                ObliviousFactory(DemandProfile.of(1, 1)), trials=0,
             )
 
     def test_resolve_workers(self):

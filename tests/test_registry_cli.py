@@ -98,6 +98,20 @@ class TestCLI:
         assert main(["analyze", "wat", "4,4"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, entry",
+        [
+            (["simulate", "cluster", "8,,8"], "''"),
+            (["simulate", "cluster", ""], "''"),
+            (["analyze", "cluster", "8,x"], "'x'"),
+        ],
+    )
+    def test_malformed_profile_fails_cleanly(self, capsys, argv, entry):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: demand profile")
+        assert f"entry {entry}" in err
+
     def test_simulate(self, capsys):
         assert main(
             ["simulate", "cluster", "16,16", "--m", "256",

@@ -4,24 +4,27 @@ Four guarantees are under test:
 
 * **Split invariance** — for a fixed plan the estimate (including the
   adaptive stopping point) is bit-identical across ``workers=``
-  counts, ``round_size`` choices, and the batched fast path, on both
-  RNG universes (python/batched and numpy).
+  counts and ``round_size`` choices on both RNG universes (python and
+  numpy), and the batched oblivious trial matches the game loop
+  (forced through :class:`GameLoopOnly`).
 * **Adaptive precision** — with ``target_halfwidth`` set, sampling
   stops at the first Wilson checkpoint at or under the target
   (validated against analytically known probabilities from
   :mod:`repro.analysis.exact`), and an unreachable target runs the cap
   exactly while still returning a valid Wilson interval.
-* **Registry** — the three built-in engines self-register, unknown
+* **Registry** — the two built-in engines self-register, unknown
   names fail with the known ones listed, and third-party engines can
   register.
-* **Deprecated shims** — the pre-plan ``workers=``/``batch=``/
-  ``engine=`` kwargs and ``ExperimentConfig(workers=, engine=)`` fold
-  into plans with a :class:`DeprecationWarning` and unchanged results,
-  and the numpy-missing fallback warning fires once per process.
+* **One API** — the removed pre-plan forms (``workers=`` on the
+  ``estimate_*`` functions and ``ExperimentConfig``,
+  ``SimulationPlan(batch=)``, the ``batched`` engine) are rejected,
+  the plan API emits no :class:`DeprecationWarning`, and the
+  numpy-missing fallback warning fires once per process.
 
 All tests here carry the ``plan`` marker (CI's dedicated fast lane).
 """
 
+import math
 import warnings
 
 import pytest
@@ -29,6 +32,7 @@ import pytest
 from repro.adversary.attacks import ClosestPairAttack
 from repro.adversary.profiles import DemandProfile
 from repro.analysis.exact import cluster_collision_probability
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.experiments.framework import ExperimentConfig
 from repro.simulation import batch as batch_module
@@ -50,6 +54,8 @@ from repro.simulation.plan import (
     run_plan,
 )
 from repro.simulation.stats import wilson_interval
+
+from game_loop_oracle import GameLoopOnly
 
 pytestmark = pytest.mark.plan
 
@@ -85,15 +91,11 @@ class TestSplitInvariance:
 
     def test_adaptive_identical_across_batch_modes(self):
         plan = SimulationPlan(target_halfwidth=0.02)
-        assert _estimate(plan) == _estimate(plan.evolve(batch=False))
-
-    def test_batched_engine_bit_identical_to_python(self):
-        fixed = SimulationPlan()
-        assert _estimate(fixed) == _estimate(fixed.evolve(engine="batched"))
-        adaptive = fixed.evolve(target_halfwidth=0.02)
-        assert _estimate(adaptive) == _estimate(
-            adaptive.evolve(engine="batched")
+        game_loop = estimate_collision_probability(
+            SpecFactory("cluster"), M, GameLoopOnly(ObliviousFactory(PROFILE)),
+            trials=2000, seed=17, stop_on_collision=False, plan=plan,
         )
+        assert _estimate(plan) == game_loop
 
     def test_adaptive_attack_workload_identical_across_workers(self):
         plan = SimulationPlan(target_halfwidth=0.05)
@@ -187,9 +189,18 @@ class TestAdaptiveStopping:
             dict(min_trials=0),
             dict(growth=1.0),
             dict(max_trials=0),
+            # each of these would otherwise reach the engine and crash
+            # there with a TypeError or OverflowError
+            dict(workers=1.5),
+            dict(round_size=2.5),
+            dict(min_trials=2.5, target_halfwidth=0.05),
+            dict(max_trials=3.5),
+            dict(growth=math.inf),
         ):
             with pytest.raises(ConfigurationError):
                 SimulationPlan(**bad)
+        with pytest.raises(ConfigurationError):
+            SimulationPlan().resolve_cap(2.5)
 
     def test_iter_rounds_streams_the_full_cap(self):
         plan = SimulationPlan(round_size=64, target_halfwidth=0.01)
@@ -215,7 +226,7 @@ class TestAdaptiveStopping:
 class TestEngineRegistry:
     def test_builtin_engines_registered(self):
         names = available_engines()
-        for name in ("python", "batched", "numpy"):
+        for name in ("python", "numpy"):
             assert name in names
             assert get_engine(name).name == name
 
@@ -262,13 +273,6 @@ class TestEngineRegistry:
         plan_module.register_engine(EveryTrialCollides())
         estimate = _estimate(SimulationPlan(engine="always"), trials=50)
         assert estimate.successes == 50
-        assert (
-            batch_module.run_trials(
-                SpecFactory("cluster"), M, ObliviousFactory(PROFILE),
-                trials=30, engine="always",
-            )
-            == 30
-        )
 
     def test_misaligned_engine_rounds_rejected(self, monkeypatch):
         """Rounds that do not tile [0, cap) must fail loudly, never
@@ -314,41 +318,29 @@ class TestEngineRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Deprecated shims and warning hygiene
+# Deprecated shims (now removed) and warning hygiene
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecatedShims:
-    def test_kwargs_warn_and_match_plan_results(self):
-        with pytest.warns(DeprecationWarning, match="SimulationPlan"):
-            legacy = estimate_profile_collision(
-                SpecFactory("cluster"), M, PROFILE,
-                trials=200, seed=17, workers=2,
-            )
-        assert legacy == _estimate(SimulationPlan(workers=2), trials=200)
+    """The pre-plan shims are gone: their forms fail loudly, and the
+    one remaining API warns about nothing deprecated."""
 
-    def test_engine_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="engine"):
+    def test_pre_plan_forms_are_rejected(self):
+        with pytest.raises(TypeError):
             estimate_profile_collision(
                 SpecFactory("cluster"), M, PROFILE,
-                trials=100, seed=1, engine="python",
+                trials=10, seed=1, workers=2,
             )
-
-    def test_batch_kwarg_warns_on_adaptive_path_too(self):
-        with pytest.warns(DeprecationWarning, match="batch"):
-            estimate_collision_probability(
-                SpecFactory("cluster"), M,
-                ObliviousFactory(PROFILE),
-                trials=100, seed=1, stop_on_collision=False, batch=True,
-            )
-
-    def test_experiment_config_shim_folds_into_plan(self):
-        with pytest.warns(DeprecationWarning, match="SimulationPlan"):
-            config = ExperimentConfig(workers=3, engine="numpy")
-        assert config.plan.workers == 3
-        assert config.plan.engine == "numpy"
-        clean = ExperimentConfig(plan=SimulationPlan(workers=3))
-        assert clean.plan.workers == 3
+        with pytest.raises(TypeError):
+            ExperimentConfig(workers=3)
+        with pytest.raises(TypeError):
+            SimulationPlan(batch=False)
+        with pytest.raises(ConfigurationError, match="python"):
+            get_engine("batched")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "cluster", "8,8", "--engine", "batched"])
+        assert exit_info.value.code == 2
 
     def test_plan_api_emits_no_deprecation_warnings(self):
         with warnings.catch_warnings():
